@@ -8,18 +8,20 @@
 # SIGTERM drain), the obs smoke (request correlation end to end: one
 # trace id across response header, access log, retained trace, and
 # exemplar), the diff smoke (repro diff exit codes 0/1/2, separator
-# certificate wording, witness-document cross-validation), and the
-# perfguard hot-path floor replay; stays well under two minutes.
+# certificate wording, witness-document cross-validation), the
+# perfguard hot-path floor replay, and the perfbench self-test (the
+# repo benchmark's harness still runs against this tree); stays well
+# under two minutes.
 
 PYTEST = PYTHONPATH=src python -m pytest
 
 .PHONY: check test differential bench bench-engine metrics-smoke \
 	chaos-smoke trace-smoke conformance-smoke patch-smoke serve-smoke \
-	obs-smoke diff-smoke conformance perfguard
+	obs-smoke diff-smoke conformance perfguard perfbench-selftest
 
 check: test differential metrics-smoke chaos-smoke trace-smoke \
 	conformance-smoke patch-smoke serve-smoke obs-smoke diff-smoke \
-	perfguard
+	perfguard perfbench-selftest
 
 test:
 	$(PYTEST) -x -q
@@ -67,6 +69,11 @@ diff-smoke:
 # the committed floors in benchmarks/results/perfguard_floor.json.
 perfguard:
 	PYTHONPATH=src:. python scripts/perfguard.py
+
+# The repo benchmark's self-test: perfbench imports parser and tokenizer
+# internals, so a change to them must keep its harness runnable.
+perfbench-selftest:
+	python3 -m pytest perfbench/selftest -q
 
 # The full acceptance sweep (the smoke runs a miniature of it).
 conformance:

@@ -553,14 +553,15 @@ def _decode_utf8(data):
         raise ParseError(f"input is not valid UTF-8: {error}")
 
 
-def as_events(source):
-    """Coerce text / documents / elements / iterables into an event stream."""
+def as_events(source, limits=None):
+    """Coerce text / UTF-8 bytes / documents / elements / iterables into
+    an event stream; ``limits`` reaches the parser for text and bytes."""
     from repro.xmlmodel.parser import iter_events
 
     if isinstance(source, str):
-        return iter_events(source)
+        return iter_events(source, limits=limits)
     if isinstance(source, (bytes, bytearray, memoryview)):
-        return iter_events(_decode_utf8(source))
+        return iter_events(_decode_utf8(source), limits=limits)
     events = getattr(source, "events", None)
     if events is not None:
         return events()

@@ -182,7 +182,12 @@ class DTD:
 
 _DECL_RE = _re.compile(r"<!(ELEMENT|ATTLIST|ENTITY)\s+", _re.DOTALL)
 _COMMENT_RE = _re.compile(r"<!--.*?-->", _re.DOTALL)
-_PARAM_REF_RE = _re.compile(r"%([A-Za-z_][\w.-]*);")
+# The document parser's name rule: a letter, '_' or ':', then letters,
+# digits and '_:.-'.  Every name a declaration binds or references
+# (elements, attributes, parameter entities) uses it.
+_NAME = r"(?:[^\W\d]|:)[\w.:-]*"
+_NAME_RE = _re.compile(_NAME)
+_PARAM_REF_RE = _re.compile(rf"%({_NAME});")
 
 
 def parse_dtd(text, root=None):
@@ -248,14 +253,14 @@ def _substitute_entities(body, entities, depth=0):
 
 
 def _parse_entity(body):
-    match = _re.match(r"%\s+([\w.-]+)\s+(['\"])(.*)\2\s*$", body, _re.DOTALL)
+    match = _re.match(rf"%\s+({_NAME})\s+(['\"])(.*)\2\s*$", body, _re.DOTALL)
     if match is None:
         raise ParseError(f"unsupported ENTITY declaration: {body[:60]!r}")
     return match.group(1), match.group(3)
 
 
 def _parse_element_declaration(body):
-    match = _re.match(r"([\w.-]+)\s+(.*)$", body, _re.DOTALL)
+    match = _re.match(rf"({_NAME})\s+(.*)$", body, _re.DOTALL)
     if match is None:
         raise ParseError(f"malformed ELEMENT declaration: {body[:60]!r}")
     name, model = match.group(1), match.group(2).strip()
@@ -283,6 +288,12 @@ def _parse_mixed(model, element_name):
             f"mixed content of <{element_name}> must start with #PCDATA"
         )
     names = [part for part in parts[1:] if part]
+    for name in names:
+        if _NAME_RE.fullmatch(name) is None:
+            raise ParseError(
+                f"mixed content of <{element_name}>: {name!r} is not a "
+                f"valid element name"
+            )
     if names and not star_suffix:
         raise ParseError(
             f"mixed content of <{element_name}> with child elements "
@@ -370,10 +381,10 @@ class _ModelScanner:
 
     def parse_name(self):
         self.skip_ws()
-        match = _re.match(r"[\w.:-]+", self.text[self.pos :])
+        match = _NAME_RE.match(self.text, self.pos)
         if match is None:
             raise self.error("expected an element name")
-        self.pos += match.end()
+        self.pos = match.end()
         return match.group(0)
 
 
@@ -387,7 +398,7 @@ _ATT_DEFAULT_RE = _re.compile(
 
 
 def _parse_attlist(body, dtd):
-    match = _re.match(r"([\w.:-]+)\s*(.*)$", body, _re.DOTALL)
+    match = _re.match(rf"({_NAME})\s*(.*)$", body, _re.DOTALL)
     if match is None:
         raise ParseError(f"malformed ATTLIST declaration: {body[:60]!r}")
     element_name, rest = match.group(1), match.group(2)
@@ -432,6 +443,8 @@ class _AttScanner:
 
     def parse_attribute(self):
         name = self.word()
+        if _NAME_RE.fullmatch(name) is None:
+            raise ParseError(f"malformed attribute name {name!r} in ATTLIST")
         self.skip_ws()
         if self.text[self.pos] == "(":
             end = self.text.find(")", self.pos)

@@ -14,7 +14,7 @@ character references and inputs that trip a cap — is a
 :class:`~repro.errors.ParseError`; no other exception type escapes on any
 input (the fuzz suite pins this).
 
-Hardening (:mod:`repro.resilience`): both entry points accept a
+Hardening (:mod:`repro.resilience`): every entry point accepts a
 ``limits=`` :class:`~repro.resilience.ParserLimits` (explicit, ambient,
 or the generous defaults) capping input size, nesting depth, attribute
 counts, name lengths, and text runs.  Element parsing is *iterative* — an
@@ -179,6 +179,9 @@ def _decode_entities(raw, cursor, limits):
 def parse_document(text, limits=None):
     """Parse a complete XML document into an :class:`XMLDocument`.
 
+    The tree is built from the :func:`iter_events` stream, so the two
+    accept exactly the same inputs with the same diagnostics.
+
     Args:
         text: the document source.
         limits: optional :class:`~repro.resilience.ParserLimits`
@@ -189,16 +192,7 @@ def parse_document(text, limits=None):
             :class:`~repro.errors.LimitExceeded` subclass) if it trips a
             parsing limit.
     """
-    limits = resolve_limits(limits)
-    limits.check_input_size(text)
-    probe("parse")
-    cursor = _Cursor(text)
-    _skip_prolog(cursor)
-    root = _parse_element(cursor, limits)
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
-    return XMLDocument(root)
+    return XMLDocument(_build_tree(iter_events(text, limits)))
 
 
 def parse_fragment(text, limits=None):
@@ -206,13 +200,24 @@ def parse_fragment(text, limits=None):
     limits = resolve_limits(limits)
     limits.check_input_size(text)
     probe("parse")
-    cursor = _Cursor(text)
-    cursor.skip_whitespace()
-    element = _parse_element(cursor, limits)
-    cursor.skip_whitespace()
-    if not cursor.at_end():
-        raise cursor.error("content after the element")
-    return element
+    return _build_tree(_fragment_events(text, limits))
+
+
+def _build_tree(events):
+    """Assemble the element tree an event stream spells; returns the root."""
+    stack = []
+    for event in events:
+        kind = event[0]
+        if kind == "start":
+            node = XMLElement(event[1], event[2])
+            if stack:
+                stack[-1].append(node)
+            stack.append(node)
+        elif kind == "text":
+            stack[-1].append_text(event[1])
+        else:
+            root = stack.pop()
+    return root
 
 
 def _skip_prolog(cursor):
@@ -228,20 +233,31 @@ def _skip_prolog(cursor):
 def _skip_misc(cursor):
     while True:
         cursor.skip_whitespace()
-        if cursor.startswith("<!--"):
-            cursor.advance(4)
-            cursor.take_until("-->", "comment")
-        elif cursor.startswith("<?"):
-            cursor.advance(2)
-            cursor.take_until("?>", "processing instruction")
-        else:
+        if not _skip_comment_or_pi(cursor):
             return
+
+
+def _skip_comment_or_pi(cursor):
+    """Skip one comment or processing instruction at the cursor, if any."""
+    if cursor.startswith("<!--"):
+        cursor.advance(4)
+        cursor.take_until("-->", "comment")
+    elif cursor.startswith("<?"):
+        cursor.advance(2)
+        cursor.take_until("?>", "processing instruction")
+    else:
+        return False
+    return True
 
 
 def _skip_doctype(cursor):
     cursor.advance(len("<!DOCTYPE"))
     depth = 0
     while not cursor.at_end():
+        # Comments and PIs in the internal subset are skipped whole: a
+        # quote, bracket or '>' inside them is not markup.
+        if depth and _skip_comment_or_pi(cursor):
+            continue
         char = cursor.peek()
         if char in ("'", '"'):
             # Quoted literals (system/public ids, entity values) may
@@ -259,94 +275,6 @@ def _skip_doctype(cursor):
             return
         cursor.advance()
     raise cursor.error("unterminated DOCTYPE")
-
-
-def _parse_element(cursor, limits):
-    """Parse one element and its whole subtree, iteratively.
-
-    An explicit stack of open elements replaces the per-nesting-level
-    recursion this function used to have, so the accepted depth is
-    decided by ``limits.max_depth`` — not by the interpreter's recursion
-    limit (a 10k-deep document used to die with ``RecursionError``).
-    """
-    if not cursor.startswith("<"):
-        raise cursor.error("expected an element start tag")
-    max_depth = limits.max_depth
-    stack = []
-    while True:
-        # The cursor sits on the '<' of a start tag.
-        cursor.advance()
-        name = _read_name(cursor, limits)
-        if max_depth is not None and len(stack) >= max_depth:
-            raise cursor.limit_error(
-                f"nesting depth limit exceeded at <{name}> "
-                f"(depth {len(stack) + 1} > max_depth={max_depth})",
-                "max_depth", len(stack) + 1,
-            )
-        node = XMLElement(name)
-        node.attributes.update(_read_attributes(cursor, name, limits))
-        cursor.skip_whitespace()
-        if cursor.startswith("/>"):
-            cursor.advance(2)
-            if not stack:
-                return node
-            stack[-1].append(node)
-        elif cursor.startswith(">"):
-            cursor.advance()
-            stack.append(node)
-        else:
-            raise cursor.error(f"malformed start tag <{name}>")
-        # Consume content until a nested start tag (break back to the
-        # outer loop, which pushes it) or until every open element has
-        # been closed (the subtree is complete: return it).
-        while stack:
-            if cursor.at_end():
-                raise cursor.error(
-                    f"unterminated element <{stack[-1].name}>"
-                )
-            if cursor.startswith("</"):
-                cursor.advance(2)
-                closing = _read_name(cursor, limits)
-                node = stack[-1]
-                if closing != node.name:
-                    raise cursor.error(
-                        f"mismatched end tag </{closing}> "
-                        f"(expected </{node.name}>)"
-                    )
-                cursor.skip_whitespace()
-                if not cursor.startswith(">"):
-                    raise cursor.error(f"malformed end tag </{closing}>")
-                cursor.advance()
-                stack.pop()
-                if not stack:
-                    return node
-                stack[-1].append(node)
-                continue
-            if cursor.startswith("<!--"):
-                cursor.advance(4)
-                cursor.take_until("-->", "comment")
-                continue
-            if cursor.startswith("<![CDATA["):
-                cursor.advance(len("<![CDATA["))
-                data = cursor.take_until("]]>", "CDATA section")
-                _check_text(data, cursor, limits)
-                stack[-1].append_text(data)
-                continue
-            if cursor.startswith("<?"):
-                cursor.advance(2)
-                cursor.take_until("?>", "processing instruction")
-                continue
-            if cursor.startswith("<"):
-                break
-            # Character data up to the next markup.
-            index = cursor.text.find("<", cursor.pos)
-            if index < 0:
-                raise cursor.error(
-                    f"unterminated element <{stack[-1].name}>"
-                )
-            raw = cursor.text[cursor.pos : index]
-            cursor.pos = index
-            stack[-1].append_text(_decode_entities(raw, cursor, limits))
 
 
 def _read_attributes(cursor, owner_name, limits):
@@ -382,17 +310,18 @@ def _read_attributes(cursor, owner_name, limits):
         attributes[attr_name] = _decode_entities(raw, cursor, limits)
 
 
-# -- streaming (SAX-style) event mode -----------------------------------
+# -- the element grammar: a SAX-style event stream ------------------------
 #
-# ``iter_events`` tokenizes a document into a flat event stream without
-# ever materializing the tree: ``("start", name, attributes)``,
-# ``("text", data)`` and ``("end", name)``.  It enforces the same
-# well-formedness rules and parsing limits as :func:`parse_document` (the
-# two share the cursor and attribute machinery), so for every input
-# either both raise :class:`~repro.errors.ParseError` or the event
-# stream spells exactly the tree the parser would build.  The compiled
-# validation engine (:mod:`repro.engine.streaming`) consumes this stream
-# keeping only a stack of DFA states.
+# ``_element_events`` is the parser's only element grammar.  It tokenizes
+# one element and its subtree into a flat event stream —
+# ``("start", name, attributes)``, ``("text", data)`` and
+# ``("end", name)`` — enforcing every well-formedness rule and parsing
+# limit.  ``iter_events`` exposes the stream; ``parse_document`` and
+# ``parse_fragment`` build trees from it, so for every input either both
+# raise :class:`~repro.errors.ParseError` or the event stream spells
+# exactly the tree the parser builds.  The compiled validation engine
+# (:mod:`repro.engine.streaming`) consumes the stream keeping only a
+# stack of DFA states.
 
 def iter_events(text, limits=None):
     """Stream SAX-style events from XML ``text`` without building a tree.
@@ -430,7 +359,23 @@ def _iter_events(text, limits):
         raise cursor.error("content after the root element")
 
 
+def _fragment_events(text, limits):
+    cursor = _Cursor(text)
+    cursor.skip_whitespace()
+    yield from _element_events(cursor, limits)
+    cursor.skip_whitespace()
+    if not cursor.at_end():
+        raise cursor.error("content after the element")
+
+
 def _element_events(cursor, limits):
+    """Yield the events of one element and its whole subtree, iteratively.
+
+    An explicit stack of open elements, not recursion, tracks nesting,
+    so the accepted depth is decided by ``limits.max_depth`` — not by
+    the interpreter's recursion limit (a 10k-deep document fails with
+    :class:`~repro.errors.LimitExceeded`, never ``RecursionError``).
+    """
     if not cursor.startswith("<"):
         raise cursor.error("expected an element start tag")
     max_depth = limits.max_depth

@@ -28,26 +28,19 @@ accept identically:
 re-runs the char-based tier from the start — so errors (type, message,
 line/column) and event streams are *identical by construction*: the fast
 tier either produces exactly what the careful tier would, or it produces
-nothing and the careful tier speaks.  ``tests/test_tokenizer_hardening``
-pins this on the fuzz-mutant corpus.
+nothing and the careful tier speaks.
 
-Entry points: :func:`iter_byte_events` (drop-in for
-:func:`~repro.xmlmodel.parser.iter_events`, accepting str or UTF-8
-bytes) and :class:`ByteTokenizer` (exposes the name-interning table and
-whether the fast tier was used).  The fused dense validation loop in
-:mod:`repro.engine.streaming` drives :func:`split_body` /
-:func:`parse_chunk` directly with schema-interned name ids.
+Entry points: :func:`body_start`, :func:`split_body` and
+:func:`parse_chunk`.  The fused dense validation loop in
+:mod:`repro.engine.streaming` drives them with schema-interned name ids.
+``tests/test_tokenizer_hardening`` pins the whole path on the parser's
+fuzz-mutant corpus: ``validate_bytes`` and ``validate`` agree with the
+event-driven validator over :func:`~repro.xmlmodel.parser.iter_events`.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
-
-from repro.errors import LimitExceeded, ParseError
-from repro.resilience.faults import probe
-from repro.resilience.limits import resolve_limits
-from repro.xmlmodel.parser import _iter_events
 
 
 class FallbackRequired(Exception):
@@ -226,189 +219,3 @@ def parse_chunk(chunk, limits, name_id_of):
     kind = SELFCLOSE if selfclose else START
     return (kind, name_id_of(name), attr_names, significant, attr_pairs,
             text)
-
-
-class NameTable:
-    """Document-local interning of element names (bytes -> small int)."""
-
-    __slots__ = ("_ids", "_names")
-
-    def __init__(self):
-        self._ids = {}
-        self._names = []
-
-    def intern(self, name_bytes):
-        """The id for ``name_bytes``, allocating on first sight."""
-        interned = self._ids.get(name_bytes)
-        if interned is None:
-            interned = self._ids[name_bytes] = len(self._names)
-            self._names.append(name_bytes.decode("ascii"))
-        return interned
-
-    def name(self, interned):
-        """The decoded name for an interned id."""
-        return self._names[interned]
-
-    def __len__(self):
-        return len(self._names)
-
-
-class ByteTokenizer:
-    """Tokenize one document, fast tier first, careful tier on fallback.
-
-    Attributes:
-        names: the :class:`NameTable` interning element names seen by the
-            fast tier (empty when the careful tier ran).
-        delegated: ``None`` before iteration finishes; afterwards True
-            iff the careful (char-based) tier produced the events.
-    """
-
-    __slots__ = ("_data", "_text", "_limits", "names", "delegated")
-
-    def __init__(self, source, limits=None):
-        if isinstance(source, str):
-            self._text = source
-            self._data = None  # encoded lazily, only if the size cap holds
-        else:
-            self._data = bytes(source)
-            self._text = None
-        self._limits = resolve_limits(limits)
-        self.names = NameTable()
-        self.delegated = None
-
-    def _decoded(self):
-        if self._text is None:
-            try:
-                self._text = self._data.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise ParseError(f"input is not valid UTF-8: {error}")
-        return self._text
-
-    def _encoded(self):
-        if self._data is None:
-            self._data = self._text.encode("utf-8")
-        return self._data
-
-    def check_input_size(self):
-        """Enforce ``max_input_bytes`` exactly like the char parser."""
-        if self._text is not None:
-            self._limits.check_input_size(self._text)
-            return
-        limit = self._limits.max_input_bytes
-        if limit is not None and len(self._data) > limit:
-            raise LimitExceeded(
-                f"input size limit exceeded ({len(self._data)} bytes > "
-                f"max_input_bytes={limit})",
-                limit="max_input_bytes", value=len(self._data),
-            )
-
-    def tokens(self):
-        """Fast-tier action tuples for the whole document, or fallback.
-
-        Returns a list of :func:`parse_chunk` actions in document order
-        (names interned through :attr:`names`), checking structural
-        well-formedness (tag matching, depth, single root).  Raises
-        :class:`FallbackRequired` when the fast tier cannot certify the
-        input.  Limit note: ``max_depth`` is enforced here; the other
-        caps are enforced per chunk by :func:`parse_chunk`.
-        """
-        data = self._encoded()
-        chunks = split_body(data, body_start(data))
-        limits = self._limits
-        max_depth = limits.max_depth
-        intern = self.names.intern
-        memo = {}
-        memo_get = memo.get
-        actions = []
-        append = actions.append
-        open_ids = []
-        push = open_ids.append
-        pop = open_ids.pop
-        depth = 0
-        root_done = False
-        for chunk in islice(chunks, 1, None):
-            action = memo_get(chunk)
-            if action is None:
-                action = parse_chunk(chunk, limits, intern)
-                memo[chunk] = action
-            kind = action[0]
-            if kind == START:
-                if not depth and root_done:
-                    raise _FALLBACK
-                if max_depth is not None and depth >= max_depth:
-                    raise _FALLBACK
-                push(action[1])
-                depth += 1
-            elif kind == END:
-                if not depth or action[1] != pop():
-                    raise _FALLBACK
-                depth -= 1
-                if not depth:
-                    root_done = True
-                    if action[3]:  # text after the root element
-                        raise _FALLBACK
-            else:  # SELFCLOSE
-                if not depth:
-                    if root_done:
-                        raise _FALLBACK
-                    root_done = True
-                    if action[3]:
-                        raise _FALLBACK
-                elif max_depth is not None and depth >= max_depth:
-                    raise _FALLBACK
-            append(action)
-        if depth or not root_done:
-            raise _FALLBACK
-        return actions
-
-    def events(self):
-        """Yield ``("start", name, attrs)`` / ``("text", data)`` /
-        ``("end", name)`` events, identical to
-        :func:`~repro.xmlmodel.parser.iter_events` on the same input
-        (same events, same errors, same line/column)."""
-        try:
-            actions = self.tokens()
-        except FallbackRequired:
-            self.delegated = True
-            return self._careful_events()
-        self.delegated = False
-        return self._fast_events(actions)
-
-    def _fast_events(self, actions):
-        name_of = self.names.name
-        depth = 0
-        for kind, interned, __, ___, pairs, text in actions:
-            name = name_of(interned)
-            if kind == END:
-                depth -= 1
-                yield ("end", name)
-            else:
-                yield ("start", name, dict(pairs))
-                if kind == SELFCLOSE:
-                    yield ("end", name)
-                else:
-                    depth += 1
-            # Trailing text after the root's end tag is misc the char
-            # parser skips without an event — suppress it here too.
-            if text and depth:
-                yield ("text", text)
-
-    def _careful_events(self):
-        return _iter_events(self._decoded(), self._limits)
-
-
-def iter_byte_events(source, limits=None):
-    """Stream SAX-style events from ``source`` (str or UTF-8 bytes).
-
-    A drop-in for :func:`~repro.xmlmodel.parser.iter_events` that runs
-    the byte fast tier when it can: for every input, the two produce
-    identical event streams or raise identical
-    :class:`~repro.errors.ParseError`/:class:`~repro.errors.LimitExceeded`
-    errors (message, line, column).  Like ``iter_events``, the input-size
-    cap and the ``parse`` fault probe fire eagerly at the call; all other
-    errors surface as the stream is consumed.
-    """
-    tokenizer = ByteTokenizer(source, limits)
-    tokenizer.check_input_size()
-    probe("parse")
-    return tokenizer.events()

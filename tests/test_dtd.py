@@ -62,6 +62,58 @@ class TestElementDeclarations:
             parse_dtd("<!ELEMENT a (b, c | d)>")
 
 
+class TestNames:
+    """ELEMENT, ATTLIST, ENTITY and content-model names share the
+    document parser's rule: a letter, '_' or ':' first."""
+
+    def test_prefixed_element_declaration(self):
+        dtd = parse_dtd("<!ELEMENT a (hfp:b)><!ELEMENT hfp:b EMPTY>")
+        assert dtd.elements["hfp:b"].category == "EMPTY"
+        assert matches(dtd.elements["a"].content, ["hfp:b"])
+
+    def test_xmlschema_internal_subset_declarations(self):
+        dtd = parse_dtd(
+            "<!ATTLIST xs:schema id ID #IMPLIED>"
+            "<!-- keep this schema XML1.0 DTD valid -->"
+            "<!ENTITY % schemaAttrs 'xmlns:hfp CDATA #IMPLIED'>"
+            "<!ELEMENT hfp:hasFacet EMPTY>"
+            "<!ATTLIST hfp:hasFacet name NMTOKEN #REQUIRED %schemaAttrs;>"
+        )
+        facet = dtd.elements["hfp:hasFacet"]
+        assert facet.attributes["name"].required
+        assert "xmlns:hfp" in facet.attributes
+        assert "id" in dtd.elements["xs:schema"].attributes
+
+    @pytest.mark.parametrize(
+        "name", ["_a", ":a", "a.b-c_1", "\u00e9l\u00e9ment"]
+    )
+    def test_accepted_names(self, name):
+        dtd = parse_dtd(
+            f"<!ENTITY % m '({name})*'><!ELEMENT {name} %m;>"
+            f"<!ELEMENT p (#PCDATA|{name})*><!ATTLIST p {name} CDATA #IMPLIED>"
+        )
+        assert matches(dtd.elements[name].content, [name, name])
+        assert matches(dtd.elements["p"].content, [name])
+        assert name in dtd.elements["p"].attributes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<!ELEMENT 1a EMPTY>",
+            "<!ELEMENT -a EMPTY>",
+            "<!ELEMENT .a EMPTY>",
+            "<!ELEMENT a (1b)>",
+            "<!ELEMENT a (#PCDATA | 1b)*>",
+            "<!ATTLIST 1a x CDATA #IMPLIED>",
+            "<!ELEMENT a EMPTY><!ATTLIST a 1x CDATA #IMPLIED>",
+            "<!ENTITY % 1e 'x'>",
+        ],
+    )
+    def test_names_the_document_parser_rejects(self, text):
+        with pytest.raises(ParseError):
+            parse_dtd(text)
+
+
 class TestParameterEntities:
     def test_substitution(self):
         dtd = parse_dtd(

@@ -296,6 +296,26 @@ class TestValidateMany:
             assert left.valid == right.valid
             assert sorted(left.violations) == sorted(right.violations)
 
+    @pytest.mark.parametrize("engine", ["streaming", "tree"])
+    def test_bytes_sources(self, xsd, engine):
+        bad = FIGURE1_XML.replace('<color color="red"/>', "<color/>", 1)
+        sources = [FIGURE1_XML.encode(), bytearray(bad.encode())]
+        reports = validate_many(xsd, sources, engine=engine)
+        assert [r.valid for r in reports] == [True, False]
+        assert reports[1].violations == validate_many(
+            xsd, [bad], engine=engine
+        )[0].violations
+
+    @pytest.mark.parametrize("engine", ["streaming", "tree"])
+    def test_non_utf8_bytes_are_parse_errors(self, xsd, engine):
+        outcomes = validate_many(
+            xsd, [b"<doc>\xff</doc>", FIGURE1_XML.encode()],
+            engine=engine, policy="isolate",
+        )
+        assert outcomes[0].error.kind == "parse"
+        assert "not valid UTF-8" in outcomes[0].error.message
+        assert outcomes[1].ok and outcomes[1].report.valid
+
     def test_tree_engine_rejects_compiled(self, xsd):
         with pytest.raises(ValueError):
             validate_many(compile_xsd(xsd), [FIGURE1_XML], engine="tree")

@@ -1,13 +1,16 @@
-"""Fuzz suite: mutated documents never desynchronize the two parsers.
+"""Fuzz suite: mutated documents never desynchronize trees and events.
 
-The engine's safety story rests on one invariant: for *every* input,
-``parse_document`` and ``iter_events`` either both accept with identical
-trees, or both raise :class:`~repro.errors.ParseError` — never any other
-exception type (``RecursionError``, ``ValueError`` from entity decoding,
-``IndexError`` from cursor math, ...).  The suite mutates well-formed
-documents (truncate, bit-flip, tag-swap, slice-splice, deep-nest) and
-asserts the invariant on each mutant: a seeded deterministic sweep of
-500+ inputs in tier-1, plus a hypothesis generator for open-ended search.
+``parse_document`` builds its tree from the element grammar that
+``iter_events`` streams.  The engine's safety story rests on one
+invariant: for *every* input, the two either both accept — with the
+tree equal to the one :func:`tree_from_events`, an independent oracle,
+rebuilds from the events — or both raise
+:class:`~repro.errors.ParseError`, never any other exception type
+(``RecursionError``, ``ValueError`` from entity decoding, ``IndexError``
+from cursor math, ...).  The suite mutates well-formed documents
+(truncate, bit-flip, tag-swap, slice-splice, deep-nest) and asserts the
+invariant on each mutant: a seeded deterministic sweep of 500+ inputs
+in tier-1, plus a hypothesis generator for open-ended search.
 """
 
 import random
@@ -40,7 +43,8 @@ def tree_from_events(events):
     for event in events:
         kind = event[0]
         if kind == "start":
-            # Appended to its parent at its end tag, like the parser.
+            # Appended to its parent at its end tag (the parser appends
+            # at the start tag; the trees must agree either way).
             stack.append(XMLElement(event[1], attributes=event[2]))
         elif kind == "end":
             node = stack.pop()

@@ -1,111 +1,142 @@
-"""Hardening suite: the byte tokenizer is a drop-in for ``iter_events``.
+"""Hardening suite: the dense byte path agrees with the char parser.
 
-:func:`repro.xmlmodel.tokenizer.iter_byte_events` promises that for
-*every* input it either produces the exact event stream the char-based
-parser would, or raises the exact error the char-based parser would —
-type, message, line, and column (plus ``limit``/``value`` for
-:class:`~repro.errors.LimitExceeded`).  The fast tier earns its speed by
-falling back whenever it cannot certify an input, so the dangerous
-surface is the set of inputs it *does* certify; this suite sweeps that
-surface with the same 600-mutant seeded corpus the parser fuzz suite
-uses, plus targeted probes of the limits plumbing and the fallback
-boundary.
+:meth:`StreamingValidator.validate_bytes` (and ``validate`` on text)
+runs the byte tokenizer's fast tier fused with the dense table walk, and
+falls back to the event-driven validator over the char parser whenever
+it cannot certify an input.  The promise: for *every* input the result
+equals ``validate_events(iter_events(text))`` — the same verdict,
+violation multiset and typing, or the exact same error (type, message,
+line, column, plus ``limit``/``value`` for
+:class:`~repro.errors.LimitExceeded`).  The dangerous surface is the set
+of inputs the fast tier *does* commit, so this suite sweeps it with the
+same 600-mutant seeded corpus the parser fuzz suite uses, against a
+permissive schema that declares every base-document name (so mutants
+reach the dense walk instead of failing on an unknown name), plus
+targeted probes of the limits plumbing and the fallback boundary.
 """
 
 import random
 
 import pytest
 
-from repro.errors import LimitExceeded, ParseError
+from repro.engine import StreamingValidator, compile_xsd
+from repro.errors import LimitExceeded
+from repro.observability import default_registry
 from repro.resilience import ParserLimits
+from repro.translation.dtd import dtd_to_xsd
+from repro.xmlmodel import parse_document, parse_dtd
 from repro.xmlmodel.parser import iter_events
-from repro.xmlmodel.tokenizer import ByteTokenizer, iter_byte_events
+from tests.test_engine_differential import _outcome
 from tests.test_fuzz_parser import BASE_DOCUMENTS, LIMITS, MUTATIONS, mutate
 
 pytestmark = pytest.mark.differential
 
+CLEAN_DOCUMENT = "<doc a='1'><item>text</item><item/></doc>"
 
-def _drain(factory):
-    """Run one tokenizer to completion; normalize events or the error."""
-    try:
-        return ("events", list(factory()))
-    except ParseError as error:
-        return ("error", type(error).__name__, str(error), error.line,
-                error.column, getattr(error, "limit", None),
-                getattr(error, "value", None))
+# ``engine.dense.docs`` growth over the 600-mutant sweep, as measured at
+# its seed: 25 mutants commit on the dense path, counted once by
+# validate_bytes and once by validate.  The floor keeps the sweep from
+# passing through fallback alone.
+DENSE_SWEEP_FLOOR = 50
 
 
-def assert_tokenizer_agreement(text, limits=None):
-    reference = _drain(lambda: iter_events(text, limits=limits))
-    fast = _drain(lambda: iter_byte_events(text, limits=limits))
-    assert fast == reference, (
-        f"byte tokenizer diverges on {text!r}:\n"
-        f"  reference={reference}\n  fast={fast}"
+def _permissive_dtd():
+    """Mixed ``(#PCDATA|...)*`` content and every attribute ``#IMPLIED``,
+    over every element and attribute name of the well-formed inputs."""
+    elements, attributes = set(), set()
+    for text in [*BASE_DOCUMENTS, CLEAN_DOCUMENT, "<a b=''/>"]:
+        for node in parse_document(text).iter():
+            elements.add(node.name)
+            attributes.update(node.attributes)
+    content = "(#PCDATA|" + "|".join(sorted(elements)) + ")*"
+    attlist = " ".join(f"{name} CDATA #IMPLIED" for name in sorted(attributes))
+    return "".join(
+        f"<!ELEMENT {name} {content}><!ATTLIST {name} {attlist}>"
+        for name in sorted(elements)
     )
-    as_bytes = _drain(
-        lambda: iter_byte_events(text.encode("utf-8"), limits=limits)
-    )
+
+
+VALIDATOR = StreamingValidator(compile_xsd(dtd_to_xsd(parse_dtd(
+    _permissive_dtd()
+))))
+
+
+def assert_dense_agreement(text):
+    """Both dense entry points agree with the event-driven reference
+    under the ambient limits."""
+    reference = _outcome(lambda: VALIDATOR.validate_events(iter_events(text)))
+    as_bytes = _outcome(lambda: VALIDATOR.validate_bytes(text.encode()))
     assert as_bytes == reference, (
-        f"byte tokenizer (bytes input) diverges on {text!r}:\n"
-        f"  reference={reference}\n  fast={as_bytes}"
+        f"validate_bytes diverges on {text!r}:\n"
+        f"  reference={reference}\n  dense={as_bytes}"
     )
+    as_text = _outcome(lambda: VALIDATOR.validate(text))
+    assert as_text == reference, (
+        f"validate diverges on {text!r}:\n"
+        f"  reference={reference}\n  dense={as_text}"
+    )
+
+
+def _dense_counters():
+    registry = default_registry()
+    return (registry.counter("engine.dense.docs").value,
+            registry.counter("engine.dense.fallbacks").value)
+
+
+def test_schema_takes_the_dense_path():
+    assert VALIDATOR.schema.dense
 
 
 class TestSeededCorpus:
-    """The parser fuzz corpus, replayed against the byte tokenizer."""
+    """The parser fuzz corpus, replayed through the dense path."""
 
     def test_base_documents_agree(self):
-        for text in BASE_DOCUMENTS:
-            assert_tokenizer_agreement(text, limits=LIMITS)
+        with LIMITS:
+            for text in BASE_DOCUMENTS:
+                assert_dense_agreement(text)
 
     def test_600_mutants_agree(self):
         # Same seed and mutation schedule as the parser fuzz sweep, so
         # the two suites certify the same inputs.
         rng = random.Random(0x20150806)
-        for round_number in range(600):
-            base = BASE_DOCUMENTS[round_number % len(BASE_DOCUMENTS)]
-            assert_tokenizer_agreement(mutate(base, rng), limits=LIMITS)
+        docs_before, __ = _dense_counters()
+        with LIMITS:
+            for round_number in range(600):
+                base = BASE_DOCUMENTS[round_number % len(BASE_DOCUMENTS)]
+                assert_dense_agreement(mutate(base, rng))
+        docs_after, __ = _dense_counters()
+        assert docs_after - docs_before >= DENSE_SWEEP_FLOOR
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)
-        for mutation in MUTATIONS:
-            for base in BASE_DOCUMENTS:
-                for __ in range(5):
-                    assert_tokenizer_agreement(
-                        mutation(base, rng), limits=LIMITS
-                    )
+        with LIMITS:
+            for mutation in MUTATIONS:
+                for base in BASE_DOCUMENTS:
+                    for __ in range(5):
+                        assert_dense_agreement(mutation(base, rng))
 
 
 class TestLimitsPlumbing:
-    """Ambient and explicit ParserLimits reach the fast tier intact."""
+    """Ambient ParserLimits reach the dense path intact."""
 
     def test_ambient_limits_are_honored(self):
         deep = "<a>" * 10 + "x" + "</a>" * 10
         with ParserLimits(max_depth=4):
-            assert_tokenizer_agreement(deep)
-        with ParserLimits(max_depth=4):
+            assert_dense_agreement(deep)
             with pytest.raises(LimitExceeded) as caught:
-                list(iter_byte_events(deep))
+                VALIDATOR.validate_bytes(deep.encode())
         assert caught.value.limit == "max_depth"
-
-    def test_explicit_limits_override_ambient(self):
-        text = "<a><b/><b/><b/></a>"
-        with ParserLimits(max_depth=1):
-            events = list(iter_byte_events(
-                text, limits=ParserLimits(max_depth=8)
-            ))
-        assert events == list(iter_events(text))
 
     def test_input_size_cap_is_eager_and_identical(self):
         text = "<a>" + "x" * 64 + "</a>"
-        limits = ParserLimits(max_input_bytes=32)
-        with pytest.raises(LimitExceeded) as fast:
-            iter_byte_events(text, limits=limits)
-        with pytest.raises(LimitExceeded) as reference:
-            iter_events(text, limits=limits)
-        assert str(fast.value) == str(reference.value)
-        assert fast.value.limit == reference.value.limit
-        assert fast.value.value == reference.value.value
+        with ParserLimits(max_input_bytes=32):
+            with pytest.raises(LimitExceeded) as dense:
+                VALIDATOR.validate_bytes(text.encode())
+            with pytest.raises(LimitExceeded) as reference:
+                iter_events(text)
+        assert str(dense.value) == str(reference.value)
+        assert dense.value.limit == reference.value.limit
+        assert dense.value.value == reference.value.value
 
     def test_per_chunk_caps_match_reference_errors(self):
         cases = [
@@ -115,20 +146,19 @@ class TestLimitsPlumbing:
              ParserLimits(max_attributes=3)),
         ]
         for text, limits in cases:
-            assert_tokenizer_agreement(text, limits=limits)
+            with limits:
+                assert_dense_agreement(text)
 
 
 class TestFallbackBoundary:
-    """The fast tier runs when it can and delegates when it must."""
+    """The dense path commits when it can and falls back when it must."""
 
     def test_clean_document_takes_the_fast_tier(self):
-        tokenizer = ByteTokenizer(
-            "<doc a='1'><item>text</item><item/></doc>"
-        )
-        events = list(tokenizer.events())
-        assert tokenizer.delegated is False
-        assert events[0] == ("start", "doc", {"a": "1"})
-        assert len(tokenizer.names) == 2  # doc, item interned once each
+        docs_before, falls_before = _dense_counters()
+        report = VALIDATOR.validate_bytes(CLEAN_DOCUMENT.encode())
+        assert report.valid
+        assert _dense_counters() == (docs_before + 1, falls_before)
+        assert_dense_agreement(CLEAN_DOCUMENT)
 
     @pytest.mark.parametrize("text", [
         "<!DOCTYPE d><d/>",                      # prolog DOCTYPE
@@ -140,10 +170,10 @@ class TestFallbackBoundary:
         "<a b = '1'c='2'/>",                     # no space after quote
     ])
     def test_uncertifiable_inputs_delegate(self, text):
-        tokenizer = ByteTokenizer(text)
-        list(tokenizer.events())
-        assert tokenizer.delegated is True
-        assert_tokenizer_agreement(text)
+        docs_before, falls_before = _dense_counters()
+        VALIDATOR.validate_bytes(text.encode())
+        assert _dense_counters() == (docs_before, falls_before + 1)
+        assert_dense_agreement(text)
 
     @pytest.mark.parametrize("text", [
         "<?>",                      # '?>' overlapping the opening '<?'
@@ -153,9 +183,9 @@ class TestFallbackBoundary:
         "<a><a></a></a>",           # same name, nested
     ])
     def test_tricky_certified_shapes_agree(self, text):
-        assert_tokenizer_agreement(text)
+        assert_dense_agreement(text)
 
     def test_malformed_shapes_produce_reference_errors(self):
         for text in ["<a b/>", "</a>", "<a></b>", "<a", "<>", "<a//>",
                      "<a>text", "x<a/>", "<a/><b/>", "<a 1='x'/>"]:
-            assert_tokenizer_agreement(text)
+            assert_dense_agreement(text)

@@ -74,6 +74,66 @@ class TestDoctypeLiterals:
         assert doc.root.find("b") is not None
 
 
+# The internal-subset shape of the W3C XMLSchema.xsd: comments (one with
+# an apostrophe), ATTLISTs over prefixed names, a single-quoted
+# parameter-entity value, and prefixed ELEMENT declarations.
+XMLSCHEMA_SUBSET = """<?xml version='1.0' encoding='UTF-8'?>
+<!-- XML Schema schema for XML Schemas: Part 1: Structures -->
+<!DOCTYPE xs:schema PUBLIC "-//W3C//DTD XMLSCHEMA 200102//EN" "XMLSchema.dtd" [
+
+<!-- provide ID type information even for parsers which only read the
+     internal subset (which shouldn't differ from the external one) -->
+<!ATTLIST xs:schema          id  ID  #IMPLIED>
+<!ATTLIST xs:element         id  ID  #IMPLIED>
+<!--
+     keep this schema XML1.0 DTD valid
+  -->
+        <!ENTITY % schemaAttrs 'xmlns:hfp CDATA #IMPLIED'>
+
+        <!ELEMENT hfp:hasFacet EMPTY>
+        <!ATTLIST hfp:hasFacet
+                name NMTOKEN #REQUIRED>
+]>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="e"/>
+</xs:schema>
+"""
+
+
+class TestDoctypeCommentsAndPIs:
+    """Comments and PIs in the internal subset are skipped whole: quotes,
+    brackets and '>' inside them are not DOCTYPE markup."""
+
+    @pytest.mark.parametrize(
+        ("text", "root"),
+        [
+            ("<!DOCTYPE a [ <!-- don't --> ]><a/>", "a"),
+            ("<!DOCTYPE a [ <?pi it's?> ]><a/>", "a"),
+            ("<!DOCTYPE a [ <!-- ]> --> ]><a/>", "a"),
+            (XMLSCHEMA_SUBSET, "xs:schema"),
+        ],
+    )
+    def test_subset_is_skipped_by_both_entry_points(self, text, root):
+        assert parse_document(text).root.name == root
+        events = list(iter_events(text))
+        assert events[0] == ("start", root, events[0][2])
+        assert events[-1] == ("end", root)
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("<!DOCTYPE a [ <!-- open ]><a/>", "unterminated comment"),
+            ("<!DOCTYPE a [ <?pi open ]><a/>",
+             "unterminated processing instruction"),
+        ],
+    )
+    def test_unterminated_subset_comment_or_pi(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_document(text)
+        with pytest.raises(ParseError, match=message):
+            list(iter_events(text))
+
+
 class TestDepthLimits:
     """Deep nesting is policy-limited, never interpreter-limited."""
 
