@@ -4,7 +4,9 @@ Starts ``repro serve`` as a real subprocess on an ephemeral port and
 drives the service claims from the outside, exactly as a deployment
 would see them:
 
-* a well-formed valid document answers **200** with ``valid: true``;
+* a well-formed valid document answers **200** with ``valid: true``,
+  validated on the engine's dense path (``engine_dense_docs`` > 0 on
+  ``/metrics`` after the valid requests);
 * a malformed document answers **422** with a structured parse error
   (never a traceback, never a hung worker);
 * a Theorem 9 budget-blowup schema answers **503** while it burns real
@@ -58,6 +60,15 @@ def request(port, method, path, body=None, timeout=10.0):
         conn.close()
 
 
+def metric_value(exposition, name):
+    """The value of an unlabeled sample in Prometheus text (0 if absent)."""
+    for line in exposition.splitlines():
+        sample, __, value = line.partition(" ")
+        if sample == name:
+            return float(value)
+    return 0.0
+
+
 def blowup_bonxai(n=6):
     from repro.bonxai import bxsd_to_schema, print_schema
     from repro.families import theorem9_bxsd
@@ -92,6 +103,12 @@ def main():
         })
         check(status == 200, f"valid document answered {status}: {body}")
         check(body["valid"] is True, f"expected valid, got {body}")
+        status, text, __ = request(port, "GET", "/metrics")
+        check(status == 200, "metrics scrape failed")
+        dense_docs = metric_value(text, "engine_dense_docs")
+        check(dense_docs > 0,
+              f"valid serve traffic never reached the dense path "
+              f"(engine_dense_docs={dense_docs})")
 
         # -- malformed document: structured 422, worker survives -------
         status, body, __ = request(port, "POST", "/validate", {
@@ -147,7 +164,8 @@ def main():
             process.kill()
             process.wait()
 
-    print("serve-smoke OK: 200 valid / 422 malformed / 503 budget / "
+    print(f"serve-smoke OK: 200 valid ({dense_docs:.0f} on the dense path) / "
+          "422 malformed / 503 budget / "
           f"quarantine fail-fast {fastfail * 1000:.0f} ms / metrics "
           "scraped / SIGTERM drained with exit 0")
 

@@ -1,11 +1,21 @@
 """Batch validation: fan many documents across a worker pool, fault-isolated.
 
 ``validate_many`` compiles (or cache-fetches) the schema once and then
-validates every document against the shared, immutable
+validates every document against the shared
 :class:`~repro.engine.compiler.CompiledSchema`.  Workers are threads: the
 compiled tables are read-only, so no per-worker copy is needed, and a
 serving process can overlap validation with I/O (the common case for
 heavy traffic: documents arrive as text over sockets or files).
+
+Dense routing: on the streaming engine every document goes through
+:meth:`~repro.engine.streaming.StreamingValidator.validate` with the
+batch's resolved limits.  Text and bytes against a dense schema take the
+fused byte scan (DESIGN §5f), sharing the schema's chunk memo across
+documents and workers; a document the scan cannot certify — invalid,
+malformed, over a limit — falls back to the event-driven compat loop,
+which produces the canonical report or error.  Trees and event
+iterables always run the compat loop.  ``repro serve`` and
+multi-document ``repro validate`` both land here.
 
 Fault isolation (:mod:`repro.resilience`): under ``policy="isolate"`` (or
 ``"fail_fast"``) every input yields a
@@ -15,8 +25,11 @@ that fails to fetch, parse, or validate contributes a structured
 elapsed time) instead of aborting the batch.  Sources may be zero-arg
 callables fetching the text lazily (files, sockets); transient failures
 retry with bounded backoff per the :class:`~repro.resilience.RetryPolicy`.
-A per-document wall-clock ``deadline`` aborts runaway documents (checked
-between events on the streaming engine).  An ambient or explicit
+A per-document wall-clock ``deadline`` aborts runaway documents: the
+dense scan checks it every
+:data:`~repro.engine.streaming.DEADLINE_STRIDE` (1024) chunks, memo hits
+included, and once at the end of the scan; the compat loop checks it
+every 64 events.  An ambient or explicit
 :class:`~repro.resilience.FaultInjector` is re-installed inside worker
 threads (contextvars do not cross pool threads on their own), so chaos
 tests exercise the exact serving configuration.
@@ -42,7 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.cache import compile_cached
 from repro.engine.compiler import CompiledSchema
-from repro.engine.streaming import StreamingValidator, _decode_utf8, as_events
+from repro.engine.streaming import StreamingValidator, _decode_utf8
 from repro.errors import DeadlineExceeded
 from repro.observability import default_registry
 from repro.observability.tracing import (
@@ -265,10 +278,11 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
         validator = StreamingValidator(compiled)
 
         def validate(document, deadline_at):
-            events = as_events(document, limits)
+            check = None
             if deadline_at is not None:
-                events = _deadline_events(events, deadline_at, deadline)
-            return validator.validate_events(events)
+                def check():
+                    _check_deadline(deadline_at, deadline)
+            return validator.validate(document, limits=limits, deadline=check)
 
         return validate
     if engine == "tree":
@@ -292,22 +306,6 @@ def _make_validator(schema, engine, cache, limits, deadline=None):
 
         return validate
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def _deadline_events(events, deadline_at, allowance, stride=64):
-    """Wrap an event stream with a wall-clock check every ``stride`` events.
-
-    Raising from inside the stream aborts the streaming validator
-    mid-document, so a pathological document cannot hold a worker past
-    its deadline by more than one stride of events.
-    """
-    count = 0
-    for event in events:
-        count += 1
-        if count % stride == 0:
-            _check_deadline(deadline_at, allowance)
-        yield event
-    _check_deadline(deadline_at, allowance)
 
 
 def _check_deadline(deadline_at, allowance):

@@ -11,6 +11,14 @@ from cursor math, ...).  The suite mutates well-formed documents
 (truncate, bit-flip, tag-swap, slice-splice, deep-nest) and asserts the
 invariant on each mutant: a seeded deterministic sweep of 500+ inputs
 in tier-1, plus a hypothesis generator for open-ended search.
+
+The seeded sweep also checks the surface users call: against a
+permissive schema over the corpus names,
+``validate_many(policy="isolate")`` (the dense path for text, with a
+deadline and explicit limits) must agree with the event-driven
+validator over ``iter_events`` — the same verdict and violation
+multiset, or the same :class:`~repro.resilience.DocumentError` kind,
+message, line and column.
 """
 
 import random
@@ -18,8 +26,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine import StreamingValidator, compile_xsd, validate_many
 from repro.errors import ParseError
-from repro.resilience import ParserLimits
+from repro.observability import default_registry
+from repro.resilience import DocumentError, ParserLimits
+from repro.translation.dtd import dtd_to_xsd
+from repro.xmlmodel.dtd import parse_dtd
 from repro.xmlmodel.parser import iter_events, parse_document
 from repro.xmlmodel.tree import XMLElement
 
@@ -142,18 +154,80 @@ def mutate(text, rng):
     return text
 
 
+def permissive_schema(extra_documents=()):
+    """A compiled schema declaring every element and attribute name of
+    the base documents (and ``extra_documents``): mixed
+    ``(#PCDATA|...)*`` content and every attribute ``#IMPLIED``, so
+    mutants reach the dense table walk instead of failing on a name."""
+    elements, attributes = set(), set()
+    for text in [*BASE_DOCUMENTS, *extra_documents]:
+        for node in parse_document(text).iter():
+            elements.add(node.name)
+            attributes.update(node.attributes)
+    content = "(#PCDATA|" + "|".join(sorted(elements)) + ")*"
+    attlist = " ".join(f"{name} CDATA #IMPLIED" for name in sorted(attributes))
+    return compile_xsd(dtd_to_xsd(parse_dtd("".join(
+        f"<!ELEMENT {name} {content}><!ATTLIST {name} {attlist}>"
+        for name in sorted(elements)
+    ))))
+
+
+# ``w`` is the deep-nest wrapper: declaring it walks those mutants into
+# the depth limit instead of stopping at an undeclared root.
+SURFACE_SCHEMA = permissive_schema(["<w/>"])
+
+# ``engine.dense.docs`` growth over the 600-mutant surface sweep, as
+# measured when the sweep was added: 29 mutants commit on the dense path
+# through validate_many (the other 571 fall back).  The floor keeps the
+# surface leg from passing through fallback alone.
+SURFACE_DENSE_FLOOR = 29
+
+
+def assert_surface_agreement(text):
+    """``validate_many(policy="isolate")`` agrees with the event-driven
+    validator over ``iter_events`` under the same limits."""
+    try:
+        report = StreamingValidator(SURFACE_SCHEMA).validate_events(
+            iter_events(text, limits=LIMITS)
+        )
+        reference = ("report", report.valid, sorted(report.violations))
+    except ParseError as exc:
+        error = DocumentError.from_exception(exc)
+        reference = ("error", error.kind, error.message, error.line,
+                     error.column)
+    outcome = validate_many(SURFACE_SCHEMA, [text], policy="isolate",
+                            limits=LIMITS, deadline=60.0)[0]
+    if outcome.ok:
+        surface = ("report", outcome.report.valid,
+                   sorted(outcome.report.violations))
+    else:
+        error = outcome.error
+        surface = ("error", error.kind, error.message, error.line,
+                   error.column)
+    assert surface == reference, (
+        f"validate_many diverges on {text!r}:\n"
+        f"  reference={reference}\n  surface={surface}"
+    )
+
+
 class TestSeededFuzz:
     """Deterministic sweep: 600 mutants checked on every tier-1 run."""
 
     def test_base_documents_agree_unmutated(self):
         for text in BASE_DOCUMENTS:
             assert_agreement(text)
+            assert_surface_agreement(text)
 
     def test_600_mutants_never_desynchronize(self):
         rng = random.Random(0x20150806)
+        dense = default_registry().counter("engine.dense.docs")
+        dense_before = dense.value
         for round_number in range(600):
             base = BASE_DOCUMENTS[round_number % len(BASE_DOCUMENTS)]
-            assert_agreement(mutate(base, rng))
+            mutant = mutate(base, rng)
+            assert_agreement(mutant)
+            assert_surface_agreement(mutant)
+        assert dense.value - dense_before >= SURFACE_DENSE_FLOOR
 
     def test_every_mutation_operator_alone(self):
         rng = random.Random(0xFACADE)

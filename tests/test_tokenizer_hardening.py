@@ -19,15 +19,19 @@ import random
 
 import pytest
 
-from repro.engine import StreamingValidator, compile_xsd
+from repro.engine import StreamingValidator
 from repro.errors import LimitExceeded
 from repro.observability import default_registry
 from repro.resilience import ParserLimits
-from repro.translation.dtd import dtd_to_xsd
-from repro.xmlmodel import parse_document, parse_dtd
 from repro.xmlmodel.parser import iter_events
 from tests.test_engine_differential import _outcome
-from tests.test_fuzz_parser import BASE_DOCUMENTS, LIMITS, MUTATIONS, mutate
+from tests.test_fuzz_parser import (
+    BASE_DOCUMENTS,
+    LIMITS,
+    MUTATIONS,
+    mutate,
+    permissive_schema,
+)
 
 pytestmark = pytest.mark.differential
 
@@ -40,25 +44,9 @@ CLEAN_DOCUMENT = "<doc a='1'><item>text</item><item/></doc>"
 DENSE_SWEEP_FLOOR = 50
 
 
-def _permissive_dtd():
-    """Mixed ``(#PCDATA|...)*`` content and every attribute ``#IMPLIED``,
-    over every element and attribute name of the well-formed inputs."""
-    elements, attributes = set(), set()
-    for text in [*BASE_DOCUMENTS, CLEAN_DOCUMENT, "<a b=''/>"]:
-        for node in parse_document(text).iter():
-            elements.add(node.name)
-            attributes.update(node.attributes)
-    content = "(#PCDATA|" + "|".join(sorted(elements)) + ")*"
-    attlist = " ".join(f"{name} CDATA #IMPLIED" for name in sorted(attributes))
-    return "".join(
-        f"<!ELEMENT {name} {content}><!ATTLIST {name} {attlist}>"
-        for name in sorted(elements)
-    )
-
-
-VALIDATOR = StreamingValidator(compile_xsd(dtd_to_xsd(parse_dtd(
-    _permissive_dtd()
-))))
+VALIDATOR = StreamingValidator(
+    permissive_schema([CLEAN_DOCUMENT, "<a b=''/>"])
+)
 
 
 def assert_dense_agreement(text):
