@@ -9,10 +9,11 @@ corpus, a lost memo, an accidental object-per-event regression) fails
 bench run.
 
 All throughput floors are *in-run ratios* (dense vs tree, stream vs
-tree, batch vs dense), not absolute rates: absolute element/second numbers swing with
-machine load, but the ratio between two pipelines measured back-to-back
-in one process is stable.  The only absolute floor is the identity
-cache hit, whose ceiling is the ISSUE's 10 microsecond budget.
+tree, batch vs dense, invalid vs valid), not absolute rates: absolute
+element/second numbers swing with machine load, but the ratio between
+two pipelines measured back-to-back in one process is stable.  The
+only absolute floor is the identity cache hit, whose ceiling is its
+10 microsecond budget.
 
 Exits nonzero with a diagnostic on any floor violation.  To re-baseline
 after an intentional change, edit the JSON floor file alongside the
@@ -84,6 +85,7 @@ def measure():
         # `repro validate` call) must stay on the dense path: a batch
         # that falls back to the compat loop runs ~10x below this floor.
         e2e_batch = _rate(lambda: validate_many(compiled, [text]), size)
+        invalid_vs_valid = _measure_invalid(text, compiled, validate_many)
 
         cache = SchemaCache(maxsize=4)
         cache.get(xsd)
@@ -109,11 +111,48 @@ def measure():
         "dense_vs_tree": e2e_dense / e2e_tree,
         "dict_vs_tree": e2e_dict / e2e_tree,
         "batch_vs_dense": e2e_batch / e2e_dense,
+        "invalid_vs_valid": invalid_vs_valid,
         "cache_hit_us": cache_hit_us,
         "incremental_vs_full": incremental_vs_full,
         "diff_vs_tree": diff_vs_tree,
         **serve,
     }
+
+
+def _measure_invalid(text, compiled, validate_many):
+    """Invalid documents on the batch surface, against the valid one.
+
+    Seeds one violation of each class into the benchmark document — a
+    disallowed child, a missing required attribute, a content-model
+    reject, text in a non-mixed element — and returns the worst class's
+    ``validate_many([text])`` time over the valid document's.  The
+    committed ``invalid_vs_valid_ceiling`` catches invalid documents
+    leaving the dense scan (a reparse by the char parser costs ~16x).
+    """
+    middle = text.index('<section title="s1">', len(text) // 2)
+    tag_end = text.index(">", middle) + 1
+    styles = ('<userstyles><style name="s"><font/><font/></style>'
+              "</userstyles>")
+    seeded = {
+        "disallowed child": text[:tag_end] + "<titlefont/>" + text[tag_end:],
+        "missing attribute": (text[:middle] + "<section"
+                              + text[tag_end - 1:]),
+        "content model": text.replace("<userstyles/>", styles),
+        "text": text.replace("<userstyles/>",
+                             "<userstyles>stray text</userstyles>"),
+    }
+    valid = _rate(lambda: validate_many(compiled, [text]), 1, repeats=20)
+    worst = 0.0
+    for violation, document in seeded.items():
+        report = validate_many(compiled, [document])[0]
+        if len(report.violations) != 1:
+            print(f"perfguard FAILED: the seeded {violation} document "
+                  f"reports {report.violations}", file=sys.stderr)
+            sys.exit(1)
+        rate = _rate(lambda: validate_many(compiled, [document]), 1,
+                     repeats=20)
+        worst = max(worst, valid / rate)
+    return worst
 
 
 def _measure_incremental(text, xsd, compiled, full_seconds):
@@ -291,6 +330,13 @@ def main():
                 f"{key}: measured {measured[key]:.2f}x is below the "
                 f"committed floor {floors[key]:.2f}x"
             )
+    if measured["invalid_vs_valid"] > floors["invalid_vs_valid_ceiling"]:
+        problems.append(
+            f"invalid_vs_valid: an invalid document took "
+            f"{measured['invalid_vs_valid']:.2f}x the valid one on "
+            f"validate_many, above the committed ceiling "
+            f"{floors['invalid_vs_valid_ceiling']:.2f}x"
+        )
     if measured["diff_vs_tree"] > floors["diff_vs_tree_ceiling"]:
         problems.append(
             f"diff_vs_tree: the Figure-family schema diff took "
@@ -328,6 +374,8 @@ def main():
         f"(floor {floors['dict_vs_tree']:.1f}x), "
         f"validate_many {measured['batch_vs_dense']:.2f}x dense "
         f"(floor {floors['batch_vs_dense']:.2f}x), "
+        f"invalid {measured['invalid_vs_valid']:.2f}x valid "
+        f"(ceiling {floors['invalid_vs_valid_ceiling']:.1f}x), "
         f"identity cache hit {measured['cache_hit_us']:.2f} us "
         f"(ceiling {floors['cache_hit_us_ceiling']:.1f} us), "
         f"incremental edit {measured['incremental_vs_full']:.0f}x full "

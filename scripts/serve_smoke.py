@@ -7,6 +7,9 @@ would see them:
 * a well-formed valid document answers **200** with ``valid: true``,
   validated on the engine's dense path (``engine_dense_docs`` > 0 on
   ``/metrics`` after the valid requests);
+* a well-formed, schema-invalid document answers **200** with its
+  violations and stays on the dense path too (``engine_dense_docs``
+  rises, ``engine_dense_fallbacks`` does not);
 * a malformed document answers **422** with a structured parse error
   (never a traceback, never a hung worker);
 * a Theorem 9 budget-blowup schema answers **503** while it burns real
@@ -110,6 +113,23 @@ def main():
               f"valid serve traffic never reached the dense path "
               f"(engine_dense_docs={dense_docs})")
 
+        # -- schema-invalid document: violations, still dense ----------
+        fallbacks = metric_value(text, "engine_dense_fallbacks")
+        status, body, __ = request(port, "POST", "/validate", {
+            "schema": FIGURE3_XSD, "schema_kind": "xsd",
+            "document": FIGURE1_XML.replace(' title="Introduction"', "")
+                                   .replace("bold>", "bogus>"),
+        })
+        check(status == 200, f"invalid document answered {status}: {body}")
+        check(body["valid"] is False and body["violations"],
+              f"expected violations, got {body}")
+        status, text, __ = request(port, "GET", "/metrics")
+        check(status == 200, "metrics scrape failed")
+        check(metric_value(text, "engine_dense_docs") > dense_docs,
+              "the schema-invalid document left the dense path")
+        check(metric_value(text, "engine_dense_fallbacks") == fallbacks,
+              "the schema-invalid document fell back to the char parser")
+
         # -- malformed document: structured 422, worker survives -------
         status, body, __ = request(port, "POST", "/validate", {
             "schema": FIGURE3_XSD, "schema_kind": "xsd",
@@ -165,7 +185,7 @@ def main():
             process.wait()
 
     print(f"serve-smoke OK: 200 valid ({dense_docs:.0f} on the dense path) / "
-          "422 malformed / 503 budget / "
+          "200 invalid (dense, no fallback) / 422 malformed / 503 budget / "
           f"quarantine fail-fast {fastfail * 1000:.0f} ms / metrics "
           "scraped / SIGTERM drained with exit 0")
 

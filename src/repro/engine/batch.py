@@ -11,11 +11,12 @@ Dense routing: on the streaming engine every document goes through
 :meth:`~repro.engine.streaming.StreamingValidator.validate` with the
 batch's resolved limits.  Text and bytes against a dense schema take the
 fused byte scan (DESIGN §5f), sharing the schema's chunk memo across
-documents and workers; a document the scan cannot certify — invalid,
-malformed, over a limit — falls back to the event-driven compat loop,
-which produces the canonical report or error.  Trees and event
-iterables always run the compat loop.  ``repro serve`` and
-multi-document ``repro validate`` both land here.
+documents and workers; schema-invalid documents commit there too, with
+their violations.  A document the scan cannot certify — malformed, over
+a limit, outside the tokenizer's subset — falls back to the
+event-driven compat loop, which produces the canonical report or
+error.  Trees and event iterables always run the compat loop.
+``repro serve`` and multi-document ``repro validate`` both land here.
 
 Fault isolation (:mod:`repro.resilience`): under ``policy="isolate"`` (or
 ``"fail_fast"``) every input yields a

@@ -45,6 +45,7 @@ from repro.errors import PatchError, SchemaError
 from repro.observability import default_registry
 from repro.observability.tracing import span
 from repro.xmlmodel.tree import XMLDocument, XMLElement
+from repro.xsd import violations as wording
 from repro.xsd.validator import XSDValidationReport
 
 
@@ -182,23 +183,20 @@ class ValidatedDocument:
         for required in compiled.required_attrs:
             if required not in attributes:
                 viols.append(
-                    f"{state.path}: element <{node.name}> is missing "
-                    f"required attribute {required!r}"
+                    wording.missing_attribute(state.path, node.name, required)
                 )
         declared = compiled.declared_attrs
         for attr_name in attributes:
             if attr_name not in declared:
-                viols.append(
-                    f"{state.path}: element <{node.name}> has undeclared "
-                    f"attribute {attr_name!r}"
-                )
+                viols.append(wording.undeclared_attribute(
+                    state.path, node.name, attr_name
+                ))
         state.attr_viols = viols
 
     def _check_text(self, node, compiled, state):
         if not compiled.mixed and node.has_text():
-            state.text_viol = (
-                f"{state.path}: element <{node.name}> "
-                f"(type {compiled.name}) may not contain text"
+            state.text_viol = wording.text_not_allowed(
+                state.path, node.name, compiled.name
             )
         else:
             state.text_viol = None
@@ -233,11 +231,9 @@ class ValidatedDocument:
                 interned = name_ids.get(child.name)
                 if interned is None or child_types[interned] < 0:
                     recognized = False
-                    viols.append(
-                        f"{state.path}: element <{child.name}> is not "
-                        f"allowed under <{node.name}> "
-                        f"(type {compiled.name})"
-                    )
+                    viols.append(wording.child_not_allowed(
+                        state.path, child.name, node.name, compiled.name
+                    ))
                     continue
                 current = rows[current][interned]
                 states.append(current)
@@ -248,11 +244,9 @@ class ValidatedDocument:
                 entry = child_map.get(child.name)
                 if entry is None:
                     recognized = False
-                    viols.append(
-                        f"{state.path}: element <{child.name}> is not "
-                        f"allowed under <{node.name}> "
-                        f"(type {compiled.name})"
-                    )
+                    viols.append(wording.child_not_allowed(
+                        state.path, child.name, node.name, compiled.name
+                    ))
                     continue
                 current = table[current][entry[0]]
                 states.append(current)
@@ -260,11 +254,8 @@ class ValidatedDocument:
         state.recognized = recognized
         state.child_viols = viols
         if recognized and not compiled.acc_bits >> current & 1:
-            shown = " ".join(child.name for child in children)
-            state.content_viol = (
-                f"{state.path}: children of <{node.name}> "
-                f"[{shown or 'none'}] do not match the content model of "
-                f"type {compiled.name}"
+            state.content_viol = wording.content_mismatch(
+                state.path, node.name, node.ch_str(), compiled.name
             )
         else:
             state.content_viol = None
@@ -466,10 +457,9 @@ class ValidatedDocument:
         report = XSDValidationReport()
         root = self.document.root
         if not self._root_declared:
-            report.violations.append(
-                f"root element <{root.name}> is not declared "
-                f"(allowed: {list(self.schema.start_names)})"
-            )
+            report.violations.append(wording.root_not_declared(
+                root.name, self.schema.start_names
+            ))
             return report
         nodes = self._nodes
         types = self.schema.types

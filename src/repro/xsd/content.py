@@ -29,6 +29,7 @@ from repro.regex.ast import (
     Union,
 )
 from repro.regex.derivatives import DerivativeMatcher
+from repro.xsd import violations as wording
 
 
 class AttributeUse:
@@ -136,28 +137,22 @@ class ContentModel:
         """
         violations = []
         if not self.mixed and node.has_text():
-            violations.append(
-                f"{path}: element <{node.name}> may not contain text"
-            )
+            violations.append(wording.text_not_allowed(path, node.name))
         children = node.ch_str()
         if not self.matches_children(children):
-            shown = " ".join(children) if children else "(no children)"
-            violations.append(
-                f"{path}: children of <{node.name}> [{shown}] do not match "
-                f"content model {self.regex}"
-            )
+            violations.append(wording.regex_mismatch(
+                path, node.name, children, self.regex
+            ))
         declared = {use.name for use in self.attributes}
         for use in self.attributes:
             if use.required and use.name not in node.attributes:
                 violations.append(
-                    f"{path}: element <{node.name}> is missing required "
-                    f"attribute {use.name!r}"
+                    wording.missing_attribute(path, node.name, use.name)
                 )
         for attr_name in node.attributes:
             if attr_name not in declared:
                 violations.append(
-                    f"{path}: element <{node.name}> has undeclared "
-                    f"attribute {attr_name!r}"
+                    wording.undeclared_attribute(path, node.name, attr_name)
                 )
         return violations
 

@@ -9,6 +9,7 @@ determined by its name and the parent's type.
 
 from __future__ import annotations
 
+from repro.xsd import violations as wording
 from repro.xsd.typednames import TypedName
 
 
@@ -57,8 +58,7 @@ def validate_xsd(xsd, document):
     root_type = xsd.start_type(root.name)
     if root_type is None:
         report.violations.append(
-            f"root element <{root.name}> is not declared "
-            f"(allowed: {sorted(_start_names(xsd))})"
+            wording.root_not_declared(root.name, _start_names(xsd))
         )
         return report
     _validate_node(
@@ -89,10 +89,9 @@ def _validate_node(xsd, node, type_name, path, typed_path, report):
     for child in node.children:
         child_type = xsd.child_type(type_name, child.name)
         if child_type is None:
-            report.violations.append(
-                f"{path}: element <{child.name}> is not allowed under "
-                f"<{node.name}> (type {type_name})"
-            )
+            report.violations.append(wording.child_not_allowed(
+                path, child.name, node.name, type_name
+            ))
             recognized = False
             continue
         child_types.append((child, child_type))
@@ -102,28 +101,23 @@ def _validate_node(xsd, node, type_name, path, typed_path, report):
             for child, child_type in child_types
         ]
         if not model.matches_children(word):
-            shown = " ".join(child.name for child in node.children)
-            report.violations.append(
-                f"{path}: children of <{node.name}> [{shown or 'none'}] do "
-                f"not match the content model of type {type_name}"
-            )
+            report.violations.append(wording.content_mismatch(
+                path, node.name, node.ch_str(), type_name
+            ))
     if not model.mixed and node.has_text():
         report.violations.append(
-            f"{path}: element <{node.name}> (type {type_name}) may not "
-            f"contain text"
+            wording.text_not_allowed(path, node.name, type_name)
         )
     declared = {use.name for use in model.attributes}
     for use in model.attributes:
         if use.required and use.name not in node.attributes:
             report.violations.append(
-                f"{path}: element <{node.name}> is missing required "
-                f"attribute {use.name!r}"
+                wording.missing_attribute(path, node.name, use.name)
             )
     for attr_name in node.attributes:
         if attr_name not in declared:
             report.violations.append(
-                f"{path}: element <{node.name}> has undeclared attribute "
-                f"{attr_name!r}"
+                wording.undeclared_attribute(path, node.name, attr_name)
             )
     ordinals = {}
     for child, child_type in child_types:

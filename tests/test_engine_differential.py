@@ -38,6 +38,12 @@ from repro.xsd.typednames import TypedName
 
 pytestmark = pytest.mark.differential
 
+# The 10k sweep's floor on dense-committed *invalid* documents: at
+# least one case in DENSE_INVALID_SHARE (405 of 10000 when the floor
+# was set), so order-exact agreement on invalid documents cannot come
+# from falling back.
+DENSE_INVALID_SHARE = 30
+
 
 def T(name, type_name):
     return TypedName(name, type_name)
@@ -208,9 +214,11 @@ class TestDifferential:
 def _outcome(thunk):
     """Normalize a validation attempt for dense-vs-dict comparison.
 
-    Reports compare on (verdict, violation multiset, typing map + order);
-    errors compare on the full diagnostic surface: type, message, line,
-    column, and — for limits — which limit tripped with what value.
+    Reports compare on (verdict, violation list in order, typing map +
+    order) — the dense scan reports violations exactly as the compat
+    loop does, order included; errors compare on the full diagnostic
+    surface: type, message, line, column, and — for limits — which
+    limit tripped with what value.
     """
     from repro.errors import ParseError
 
@@ -220,7 +228,7 @@ def _outcome(thunk):
         return ("error", type(error).__name__, str(error), error.line,
                 error.column, getattr(error, "limit", None),
                 getattr(error, "value", None))
-    return ("report", report.valid, sorted(report.violations),
+    return ("report", report.valid, list(report.violations),
             dict(report.typing), list(report.typing))
 
 
@@ -259,8 +267,9 @@ class TestDenseVsDict:
         assert docs.value == docs_before + 1
         assert falls.value == falls_before
 
-    def test_dense_falls_back_on_invalid_with_identical_diagnostics(self):
+    def test_dense_commits_invalid_with_compat_diagnostics(self):
         from repro.observability import default_registry
+        from repro.xmlmodel.parser import iter_events
 
         registry = default_registry()
         xsd, compiled, *__ = _setup("sections")
@@ -268,13 +277,19 @@ class TestDenseVsDict:
             "<doc><template/><content><section/>"
             "<bogus/></content></doc>"
         )
+        docs = registry.counter("engine.dense.docs")
         falls = registry.counter("engine.dense.fallbacks")
-        before = falls.value
+        before = docs.value, falls.value
         report = StreamingValidator(compiled).validate(text)
+        compat = StreamingValidator(compiled).validate_events(
+            iter_events(text)
+        )
         expected = validate_xsd(xsd, parse_document(text))
-        assert falls.value == before + 1
+        assert (docs.value, falls.value) == (before[0] + 1, before[1])
         assert not report.valid
+        assert report.violations == compat.violations
         assert sorted(report.violations) == sorted(expected.violations)
+        assert list(report.typing.items()) == list(compat.typing.items())
         assert report.typing == expected.typing
 
     def test_dense_metrics_agree_with_compat(self):
@@ -342,8 +357,9 @@ class TestDenseVsDict:
     def test_seeded_10k_dense_vs_dict_sweep(self):
         # The bulk lockdown: ~10k serialized documents (valid bases plus
         # byte-level mutants exercising the fallback machinery) through
-        # both paths, asserting identical reports *or* identical errors.
-        # DENSE_SWEEP_CASES overrides the size (for quick local runs).
+        # both paths, asserting identical reports — violation lists in
+        # order — *or* identical errors.  DENSE_SWEEP_CASES overrides
+        # the size (for quick local runs).
         import os
 
         from repro.observability import default_registry
@@ -354,6 +370,7 @@ class TestDenseVsDict:
         registry = default_registry()
         dense_docs = registry.counter("engine.dense.docs")
         dense_before = dense_docs.value
+        dense_invalid = 0
         rng = random.Random(0xD15EA5E)
         keys = sorted(SCHEMAS)
         bases = {}
@@ -373,7 +390,9 @@ class TestDenseVsDict:
             text = base if index % 4 == 0 else mutate(base, rng)
             validator = validators[key]
             with LIMITS:
+                committed = dense_docs.value
                 dense = _outcome(lambda: validator.validate(text))
+                committed = dense_docs.value > committed
                 compat = _outcome(lambda: validator.validate_events(
                     iter_events(text, limits=LIMITS)
                 ))
@@ -381,9 +400,12 @@ class TestDenseVsDict:
                 f"case {index} ({key}): dense={dense} compat={compat} "
                 f"on {text!r}"
             )
+            if committed and not dense[1]:
+                dense_invalid += 1
         # The sweep must actually exercise the fast path, not fall back
-        # its way to vacuous agreement.
+        # its way to vacuous agreement — for invalid documents too.
         assert dense_docs.value - dense_before >= total // 8
+        assert dense_invalid >= total // DENSE_INVALID_SHARE, dense_invalid
 
 
 class TestStreamingInputs:

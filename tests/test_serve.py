@@ -19,6 +19,12 @@ MALFORMED_XML = "<document><content></document>"
 
 INVALID_XML = "<document><content/></document>"
 
+#: A document that holds a worker for a while (tens of milliseconds or
+#: more): the comment sends it to the char parser, which walks all
+#: 60k elements (the dense scan would finish it in a few milliseconds).
+SLOW_DOCUMENT = ("<document><!-- careful tier --><title/><author/>"
+                 + "<content/>" * 60_000 + "</document>")
+
 
 def blowup_bonxai(n=6):
     """A Theorem 9 instance as BonXai text: compilation state-explodes."""
@@ -218,15 +224,12 @@ class TestOverload:
         config = ServeConfig(port=0, workers=1, queue_depth=0,
                              tenant_inflight=None)
         with start_in_thread(config, registry=registry) as handle:
-            # A document big enough to hold the only worker for a while.
-            big = ("<document><title/><author/>"
-                   + "<content/>" * 60_000 + "</document>")
             results = []
 
             def slow():
                 results.append(request(
                     handle.port, "POST", "/validate",
-                    validate_body(document=big),
+                    validate_body(document=SLOW_DOCUMENT),
                 ))
 
             thread = threading.Thread(target=slow)
@@ -252,14 +255,12 @@ class TestOverload:
         config = ServeConfig(port=0, workers=2, queue_depth=2,
                              tenant_inflight=1)
         with start_in_thread(config, registry=MetricsRegistry()) as handle:
-            big = ("<document><title/><author/>"
-                   + "<content/>" * 60_000 + "</document>")
             results = []
 
             def slow():
                 results.append(request(
                     handle.port, "POST", "/validate",
-                    validate_body(document=big),
+                    validate_body(document=SLOW_DOCUMENT),
                     headers={"X-Tenant": "greedy"},
                 ))
 
@@ -349,14 +350,12 @@ class TestDrain:
         config = ServeConfig(port=0, workers=1, queue_depth=0,
                              drain_deadline=10.0)
         with start_in_thread(config, registry=MetricsRegistry()) as handle:
-            big = ("<document><title/><author/>"
-                   + "<content/>" * 60_000 + "</document>")
             results = []
 
             def slow():
                 results.append(request(
                     handle.port, "POST", "/validate",
-                    validate_body(document=big),
+                    validate_body(document=SLOW_DOCUMENT),
                 ))
 
             thread = threading.Thread(target=slow)
